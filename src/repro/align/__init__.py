@@ -35,6 +35,7 @@ from repro.align.operations import (
     apply_operations,
     deletion_runs,
     edit_operations,
+    edit_operations_batch,
     error_operations,
 )
 
@@ -54,6 +55,7 @@ __all__ = [
     "edit_distance_matrix",
     "edit_distances_one_to_many",
     "edit_operations",
+    "edit_operations_batch",
     "error_operations",
     "set_align_backend",
     "gestalt_error_positions",

@@ -9,9 +9,11 @@ implemented in :mod:`repro.align.operations`).
 Distance-only queries dispatch to the pluggable kernels of
 :mod:`repro.align.kernels` (Myers bit-parallel by default, with numpy and
 pure-Python reference backends selectable via ``REPRO_ALIGN_BACKEND`` /
-``--align-backend``); the full matrix used by the backtrace in
-:mod:`repro.align.operations` stays here.  Every backend is bit-identical,
-so callers never observe which one ran.
+``--align-backend``).  Every backend is bit-identical, so callers never
+observe which one ran.  The backtrace in :mod:`repro.align.operations`
+runs its own lane-batched DP that keeps one candidate-move byte per
+cell, not the matrix; the full matrix here is the plain reference DP
+the tests check that kernel against.
 """
 
 from __future__ import annotations
@@ -70,15 +72,10 @@ def edit_distance_matrix(first: str, second: str) -> np.ndarray:
     """Full (len(first)+1) x (len(second)+1) DP matrix as ``int32`` numpy.
 
     ``matrix[i][j]`` is the distance between ``first[:i]`` and
-    ``second[:j]``.  Used by the backtrace in
-    :mod:`repro.align.operations`.  Large inputs are routed to the
-    vectorised :func:`edit_distance_matrix_fast`; small inputs use a
-    pure-Python DP (less per-row overhead) whose result is converted, so
-    **every** call returns the same type — callers must not have to care
-    which path ran when they mutate, ``len()``, or compare the result.
+    ``second[:j]``.  A plain pure-Python DP over any symbols: the
+    reference the lane-batched backtrace kernel of
+    :mod:`repro.align.operations` is tested against.
     """
-    if len(first) * len(second) > 1024:
-        return edit_distance_matrix_fast(first, second)
     rows, columns = len(first) + 1, len(second) + 1
     matrix = [[0] * columns for _ in range(rows)]
     for row in range(rows):
@@ -97,31 +94,3 @@ def edit_distance_matrix(first: str, second: str) -> np.ndarray:
                 matrix_above[column - 1] + substitution_cost,
             )
     return np.asarray(matrix, dtype=np.int32)
-
-
-def edit_distance_matrix_fast(first: str, second: str) -> np.ndarray:
-    """Vectorised DP matrix, row by row with numpy.
-
-    The only wrinkle is the left-to-right dependency of insertions within
-    a row; it is resolved in closed form:
-    ``min_k (row[k] + (j - k)) = j + cummin(row[k] - k)``, a single
-    ``np.minimum.accumulate`` per row.  This makes bulk alignment (the
-    profiler aligns every noisy copy against its reference) roughly an
-    order of magnitude faster than the pure-Python matrix.
-    """
-    rows, columns = len(first) + 1, len(second) + 1
-    second_codes = np.frombuffer(second.encode("ascii"), dtype=np.uint8)
-    matrix = np.empty((rows, columns), dtype=np.int32)
-    matrix[0] = np.arange(columns, dtype=np.int32)
-    column_index = np.arange(columns, dtype=np.int32)
-    for row in range(1, rows):
-        above = matrix[row - 1]
-        current = np.empty(columns, dtype=np.int32)
-        current[0] = row
-        substitution_cost = (second_codes != ord(first[row - 1])).astype(np.int32)
-        # Candidates ignoring the intra-row insertion dependency.
-        current[1:] = np.minimum(above[1:] + 1, above[:-1] + substitution_cost)
-        # Resolve insertions: current[j] = min over k <= j of current[k] + (j - k).
-        current = np.minimum.accumulate(current - column_index) + column_index
-        matrix[row] = current
-    return matrix

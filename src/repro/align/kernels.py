@@ -314,8 +314,9 @@ def _string_codes(text: str) -> np.ndarray:
 def _numpy_rows(first: str, second: str):
     """Yield successive DP rows (over ``first``) as int32 arrays.
 
-    Same closed-form resolution of the intra-row insertion dependency as
-    :func:`repro.align.edit_distance.edit_distance_matrix_fast`.
+    The intra-row insertion dependency is resolved in closed form:
+    ``min_k (row[k] + (j - k)) = j + cummin(row[k] - k)``, one
+    ``np.minimum.accumulate`` per row.
     """
     columns = len(second) + 1
     second_codes = _string_codes(second)

@@ -18,11 +18,18 @@ into simulator parameters is the job of :mod:`repro.core.profile`.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.align.operations import OpKind, deletion_runs, edit_operations
+from repro.align.operations import (
+    EditOp,
+    OpKind,
+    deletion_runs,
+    edit_operations_batch,
+)
 from repro.core.alphabet import BASES
 from repro.core.strand import StrandPool
 
@@ -94,17 +101,18 @@ class ErrorStatistics:
     ) -> None:
         """Tally one transmission: align ``copy`` to ``reference`` and count
         every error operation."""
+        self._tally_pairs([(reference, copy)], rng)
+
+    def _tally_errors(
+        self, reference: str, error_operations: list[EditOp]
+    ) -> None:
+        """Count one transmission's error operations."""
         self._ensure_length(len(reference))
         self.pair_count += 1
         for base in reference:
             self.base_opportunities[base] += 1
         for position in range(len(reference)):
             self.position_opportunities[position] += 1
-
-        operations = edit_operations(reference, copy, rng)
-        error_operations = [
-            operation for operation in operations if operation.is_error
-        ]
 
         # Long deletions: attribute whole runs to the long-deletion
         # process; everything inside them is excluded from single-base
@@ -168,12 +176,27 @@ class ErrorStatistics:
             rng: optional source of randomness for Algorithm 2's random
                 tie-breaking among optimal edit paths.
         """
-        for cluster in pool:
-            copies = cluster.copies
-            if max_copies_per_cluster is not None:
-                copies = copies[:max_copies_per_cluster]
-            for copy in copies:
-                self.tally_pair(cluster.reference, copy, rng)
+        self._tally_pairs(
+            (
+                (cluster.reference, copy)
+                for cluster in pool
+                for copy in cluster.copies[:max_copies_per_cluster]
+            ),
+            rng,
+        )
+
+    def _tally_pairs(
+        self,
+        pairs: Iterable[tuple[str, str]],
+        rng: random.Random | None = None,
+    ) -> None:
+        """Tally (reference, copy) pairs in order, aligning them all in one
+        lane-batched call: the same counts (and ``rng`` draws) as
+        :meth:`tally_pair` on each pair in turn."""
+        pairs, tallied = itertools.tee(pairs)
+        errors = edit_operations_batch(pairs, rng, errors_only=True)
+        for (reference, _copy), error_operations in zip(tallied, errors):
+            self._tally_errors(reference, error_operations)
 
     def merge(self, other: "ErrorStatistics") -> None:
         """Fold another tally into this one.

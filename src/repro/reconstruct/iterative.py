@@ -33,7 +33,7 @@ import random
 from collections import Counter
 from collections.abc import Sequence
 
-from repro.align.operations import OpKind, edit_operations
+from repro.align.operations import OpKind, edit_operations_batch
 from repro.reconstruct.base import Reconstructor
 from repro.reconstruct.bma import bma_forward_pass
 
@@ -75,8 +75,8 @@ class IterativeReconstruction(Reconstructor):
     def _refine(
         self, estimate: str, copies: Sequence[str], strand_length: int
     ) -> str:
-        """One correction round: align every copy to the estimate and apply
-        majority-supported edits."""
+        """One correction round: align every copy to the estimate (in one
+        lane-batched call) and apply majority-supported edits."""
         length = len(estimate)
         # votes[i] counts, for estimate position i: keep/substitute-to-base
         # (by emitted base) and deletion.
@@ -85,8 +85,10 @@ class IterativeReconstruction(Reconstructor):
         insert_votes: list[Counter] = [Counter() for _ in range(length + 1)]
         voters = [0] * length
 
-        for copy in copies:
-            operations = edit_operations(estimate, copy, self.rng)
+        alignments = edit_operations_batch(
+            ((estimate, copy) for copy in copies), self.rng
+        )
+        for operations in alignments:
             for operation in operations:
                 position = operation.reference_position
                 if operation.kind is OpKind.INSERTION:

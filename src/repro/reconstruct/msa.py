@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from repro.align.kernels import edit_distances_one_to_many
-from repro.align.operations import OpKind, edit_operations
+from repro.align.operations import OpKind, edit_operations_batch
 from repro.reconstruct.base import Reconstructor
 
 
@@ -50,8 +50,9 @@ class StarMSAConsensus(Reconstructor):
         base_votes: list[Counter] = [Counter() for _ in range(len(centre))]
         delete_votes = [0] * len(centre)
         insert_votes: list[Counter] = [Counter() for _ in range(len(centre) + 1)]
-        for copy in copies:
-            for operation in edit_operations(centre, copy):
+        alignments = edit_operations_batch((centre, copy) for copy in copies)
+        for operations in alignments:
+            for operation in operations:
                 position = operation.reference_position
                 if operation.kind is OpKind.INSERTION:
                     insert_votes[min(position, len(centre))][

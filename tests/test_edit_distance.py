@@ -11,7 +11,6 @@ from repro.align.edit_distance import (
     edit_distance,
     edit_distance_banded,
     edit_distance_matrix,
-    edit_distance_matrix_fast,
     normalized_edit_distance,
 )
 
@@ -115,46 +114,21 @@ class TestNormalized:
 
 
 class TestMatrices:
-    @given(dna, dna)
-    def test_fast_matrix_matches_pure(self, first, second):
-        fast = edit_distance_matrix_fast(first, second)
-        rows, columns = len(first) + 1, len(second) + 1
-        pure = [[0] * columns for _ in range(rows)]
-        for row in range(rows):
-            pure[row][0] = row
-        for column in range(columns):
-            pure[0][column] = column
-        for row in range(1, rows):
-            for column in range(1, columns):
-                cost = 0 if first[row - 1] == second[column - 1] else 1
-                pure[row][column] = min(
-                    pure[row - 1][column] + 1,
-                    pure[row][column - 1] + 1,
-                    pure[row - 1][column - 1] + cost,
-                )
-        assert np.array_equal(fast, np.array(pure))
-
     def test_matrix_corner_is_distance(self):
         matrix = edit_distance_matrix("ACGT", "AGT")
         assert matrix[4][3] == 1
 
-    def test_large_inputs_route_to_fast_path(self):
+    def test_large_matrix_corner_is_distance(self):
         matrix = edit_distance_matrix("ACGT" * 20, "ACGA" * 20)
         assert isinstance(matrix, np.ndarray)
         assert matrix[-1][-1] == edit_distance("ACGT" * 20, "ACGA" * 20)
 
     @given(dna, dna)
     def test_return_type_is_uniform_across_paths(self, first, second):
-        """Both the small pure-Python path and the large vectorised path
-        must return the same type: callers previously saw ``list`` below
-        the 1024-cell threshold and ``np.ndarray`` above it, diverging on
-        mutation/``len``/equality semantics."""
+        """Every size returns the same type: callers once saw ``list``
+        below a 1024-cell threshold and ``np.ndarray`` above it, diverging
+        on mutation/``len``/equality semantics."""
         matrix = edit_distance_matrix(first, second)
         assert isinstance(matrix, np.ndarray)
         assert matrix.dtype == np.int32
         assert matrix.shape == (len(first) + 1, len(second) + 1)
-
-    def test_small_path_matches_fast_path(self):
-        small = edit_distance_matrix("ACGT", "AGT")  # 12 cells: small path
-        fast = edit_distance_matrix_fast("ACGT", "AGT")
-        assert np.array_equal(small, fast)
