@@ -1,17 +1,27 @@
 """Alignment-kernel benchmarks, recorded to ``BENCH_kernels.json``.
 
 Times each kernel (exact edit distance, banded edit distance, the
-one-vs-many batch kernel, and gestalt matching blocks) under every
-backend at the paper's strand length (110) plus 220 and 1000, and the
-greedy-clustering end-to-end wall-clock under the ``python`` reference
-backend versus ``bitparallel``.  The JSON lands at the repo root so the
-kernel perf trajectory is recorded PR over PR.
+one-vs-many batch kernel, and gestalt matching blocks) at the paper's
+strand length (110) plus 220 and 1000, calling the reference and the
+fast functions directly:
 
-Three floors are asserted (they are the PRs' acceptance criteria):
+* ``python`` — the seed's pure-Python DPs (the test references);
+* ``bitparallel`` — the scalar Myers kernel (pairwise calls, and
+  one-vs-many batches below ``_BATCH_MIN_READS`` reads);
+* ``batched`` — the lane-batched uint64 sweep (one-vs-many batches of at
+  least ``_BATCH_MIN_READS`` reads);
+* ``auto`` — for matching blocks, the size-split LCS (NumPy rows for
+  large regions, the Python recursion for small ones).
+
+It also times greedy clustering end to end with the reference banded DP
+swapped in versus the shipped kernels.  The JSON lands at the repo root
+so the kernel perf trajectory is recorded PR over PR.
+
+Three floors are asserted:
 
 * bit-parallel exact distance >= 5x the pure-Python DP at length 110;
-* clustering end-to-end >= 2x under ``bitparallel`` vs ``python``,
-  with bit-identical assignments;
+* clustering end-to-end >= 2x with the shipped kernels vs the reference
+  DP, with bit-identical assignments;
 * the batched one-vs-many sweep >= 10x scalar bit-parallel on a
   4096-read batch of length-110 strands, bit-identical distances.
 """
@@ -21,18 +31,13 @@ from __future__ import annotations
 import json
 import random
 import time
+import sys
 from pathlib import Path
-
-import pytest
+from unittest import mock
 
 from repro.align import kernels
 from repro.align.gestalt import clear_block_cache, matching_blocks
-from repro.align.kernels import (
-    edit_distance_kernel,
-    banded_distance_kernel,
-    edit_distances_one_to_many,
-    set_align_backend,
-)
+from repro.align.kernels import CompiledPattern
 from repro.cluster.greedy import GreedyClusterer
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
@@ -44,11 +49,9 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 STRAND_LENGTHS = (110, 220, 1000)
 
-KERNEL_BACKENDS = ("python", "numpy", "bitparallel", "batched")
-
 BAND = 25
 
-#: Pairs timed per (kernel, backend, length) cell; long strands use fewer.
+#: Pairs timed per (kernel, length) cell; long strands use fewer.
 PAIRS_PER_CELL = {110: 40, 220: 20, 1000: 4}
 
 #: Acceptance floors (ISSUE 3; batched floor from ISSUE 7).
@@ -56,7 +59,7 @@ MIN_KERNEL_SPEEDUP = 5.0
 MIN_CLUSTER_SPEEDUP = 2.0
 MIN_BATCHED_SPEEDUP = 10.0
 
-#: One-vs-many batch size for the batched-backend floor: wide enough
+#: One-vs-many batch size for the batched-sweep floor: wide enough
 #: that NumPy per-op dispatch overhead is amortised across lanes (the
 #: sweep's per-pair cost keeps dropping up to ~4k lanes).
 BATCH_READS = 4096
@@ -64,12 +67,6 @@ BATCH_READS = 4096
 #: Clustering corpus shape: references x noisy copies each.
 CLUSTER_REFERENCES = 40
 CLUSTER_COVERAGE = 8
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _restore_backend():
-    yield
-    set_align_backend(None)
 
 
 def _noisy_pairs(length: int, count: int) -> list[tuple[str, str]]:
@@ -93,42 +90,83 @@ def _time_per_pair(function, pairs, repeats: int = 3) -> float:
     return best / len(pairs) * 1e9
 
 
+def _python_banded_distances(pattern, others, band):
+    """``CompiledPattern.banded_distances`` over the reference banded DP."""
+    return [
+        band + 1
+        if abs(len(pattern.text) - len(other)) > band
+        else kernels._python_banded(pattern.text, other, band)
+        for other in others
+    ]
+
+
+def _scalar_one_to_many(reference: str, reads: list[str]) -> list[int]:
+    """The one-vs-many shape on the scalar kernel (one mask build)."""
+    pattern = CompiledPattern(reference)
+    return [pattern.distance(read) for read in reads]
+
+
+def _batched_one_to_many(reference: str, reads: list[str]) -> list[int]:
+    """The one-vs-many shape as one lane-batched sweep."""
+    return kernels._batched_distances(kernels._PackedPattern(reference), reads, None)
+
+
+def _time_once(function) -> float:
+    start = time.perf_counter()
+    function()
+    return time.perf_counter() - start
+
+
+def _blocks_ns_per_pair(pairs, lcs_numpy_min_cells: int) -> float:
+    """Cold matching-block decompositions with the LCS size split set to
+    ``lcs_numpy_min_cells`` (``sys.maxsize``: Python recursion only)."""
+    with mock.patch.object(kernels, "_LCS_NUMPY_MIN_CELLS", lcs_numpy_min_cells):
+        return _time_per_pair(
+            lambda a, b: (clear_block_cache(), matching_blocks(a, b))[1],
+            pairs,
+            repeats=2,
+        )
+
+
 def test_bench_kernels_record():
-    """Time every kernel x backend x length cell and write the record."""
+    """Time every kernel x path x length cell and write the record."""
     kernels_record: dict[str, dict] = {}
     for length in STRAND_LENGTHS:
         pairs = _noisy_pairs(length, PAIRS_PER_CELL[length])
         reads = [second for _, second in pairs]
         reference = pairs[0][0]
-        cell: dict[str, dict[str, float]] = {
-            "edit_distance": {},
-            "banded_distance": {},
-            "one_to_many": {},
-            "matching_blocks": {},
+        per_read = 1e9 / len(reads)
+        kernels_record[str(length)] = {
+            "edit_distance": {
+                "python": _time_per_pair(kernels._python_distance, pairs),
+                "bitparallel": _time_per_pair(kernels._bitparallel_distance, pairs),
+            },
+            "banded_distance": {
+                "python": _time_per_pair(
+                    lambda a, b: kernels._python_banded(a, b, BAND), pairs
+                ),
+                "bitparallel": _time_per_pair(
+                    lambda a, b: kernels._bitparallel_banded(a, b, BAND), pairs
+                ),
+            },
+            "one_to_many": {
+                "python": per_read * _time_once(
+                    lambda: [kernels._python_distance(reference, r) for r in reads]
+                ),
+                "bitparallel": per_read * _time_once(
+                    lambda: _scalar_one_to_many(reference, reads)
+                ),
+                "batched": per_read * _time_once(
+                    lambda: _batched_one_to_many(reference, reads)
+                ),
+            },
+            "matching_blocks": {
+                "python": _blocks_ns_per_pair(pairs, sys.maxsize),
+                "auto": _blocks_ns_per_pair(pairs, kernels._LCS_NUMPY_MIN_CELLS),
+            },
         }
-        for backend in KERNEL_BACKENDS:
-            set_align_backend(backend)
-            cell["edit_distance"][backend] = _time_per_pair(
-                edit_distance_kernel, pairs
-            )
-            cell["banded_distance"][backend] = _time_per_pair(
-                lambda a, b: banded_distance_kernel(a, b, BAND), pairs
-            )
-            start = time.perf_counter()
-            edit_distances_one_to_many(reference, reads)
-            cell["one_to_many"][backend] = (
-                (time.perf_counter() - start) / len(reads) * 1e9
-            )
-            clear_block_cache()
-            cell["matching_blocks"][backend] = _time_per_pair(
-                lambda a, b: (clear_block_cache(), matching_blocks(a, b))[1],
-                pairs,
-                repeats=2,
-            )
-        kernels_record[str(length)] = cell
-    set_align_backend(None)
 
-    # Clustering end-to-end: python reference vs bit-parallel.
+    # Clustering end-to-end: the reference banded DP vs the kernels.
     rng = random.Random(99)
     channel = Channel(ground_truth_model(), random.Random(100))
     references = [
@@ -141,15 +179,17 @@ def test_bench_kernels_record():
         for _ in range(CLUSTER_COVERAGE)
     ]
     rng.shuffle(reads)
-    clustering: dict[str, float] = {}
     results = {}
-    for backend in ("python", "bitparallel"):
-        set_align_backend(backend)
-        clear_block_cache()
-        start = time.perf_counter()
-        results[backend] = GreedyClusterer().cluster(reads)
-        clustering[backend] = time.perf_counter() - start
-    set_align_backend(None)
+    clustering: dict[str, float] = {}
+    with mock.patch.object(
+        CompiledPattern, "banded_distances", _python_banded_distances
+    ):
+        clustering["python"] = _time_once(
+            lambda: results.update(python=GreedyClusterer().cluster(reads))
+        )
+    clustering["bitparallel"] = _time_once(
+        lambda: results.update(bitparallel=GreedyClusterer().cluster(reads))
+    )
     assert results["bitparallel"].assignments == results["python"].assignments
     clustering["speedup"] = clustering["python"] / clustering["bitparallel"]
 
@@ -161,19 +201,13 @@ def test_bench_kernels_record():
     batch_reads = [
         batch_channel.transmit(batch_reference) for _ in range(BATCH_READS)
     ]
-    set_align_backend("bitparallel")
-    scalar_distances = edit_distances_one_to_many(batch_reference, batch_reads)
-    start = time.perf_counter()
-    edit_distances_one_to_many(batch_reference, batch_reads)
-    scalar_s = time.perf_counter() - start
-    set_align_backend("batched")
-    batched_distances = edit_distances_one_to_many(batch_reference, batch_reads)
-    batched_s = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        edit_distances_one_to_many(batch_reference, batch_reads)
-        batched_s = min(batched_s, time.perf_counter() - start)
-    set_align_backend(None)
+    scalar_distances = _scalar_one_to_many(batch_reference, batch_reads)
+    scalar_s = _time_once(lambda: _scalar_one_to_many(batch_reference, batch_reads))
+    batched_distances = _batched_one_to_many(batch_reference, batch_reads)
+    batched_s = min(
+        _time_once(lambda: _batched_one_to_many(batch_reference, batch_reads))
+        for _ in range(3)
+    )
     assert batched_distances == scalar_distances
     batched_record = {
         "reads": BATCH_READS,

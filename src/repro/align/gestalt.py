@@ -49,11 +49,11 @@ def _longest_common_substring(
     """Longest common substring of ``first[first_low:first_high]`` and
     ``second[second_low:second_high]``.
 
-    Dispatches to the backend-selected kernel (numpy-vectorised rows for
-    large regions by default, the classic two-rolling-row dynamic program
-    otherwise — see :mod:`repro.align.kernels`).  Ties are broken toward
-    the earliest position in ``first`` then ``second`` on every backend
-    (the conventional, deterministic choice).
+    Runs numpy-vectorised rows for large regions and the classic
+    two-rolling-row dynamic program otherwise (see
+    :mod:`repro.align.kernels`).  Ties are broken toward the earliest
+    position in ``first`` then ``second`` on both paths (the
+    conventional, deterministic choice).
     """
     first_start, second_start, size = kernels.longest_common_substring(
         first, second, first_low, first_high, second_low, second_high
@@ -69,7 +69,7 @@ def matching_blocks(first: str, second: str) -> list[MatchingBlock]:
     the string pair (see :data:`_BLOCK_CACHE_PAIRS`); the returned list is
     a fresh copy, safe for callers to mutate.
     """
-    return list(_matching_blocks_cached(first, second, kernels.lcs_backend()))
+    return list(_matching_blocks_cached(first, second))
 
 
 def clear_block_cache() -> None:
@@ -79,12 +79,8 @@ def clear_block_cache() -> None:
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_PAIRS)
-def _matching_blocks_cached(
-    first: str, second: str, _backend: str
-) -> tuple[MatchingBlock, ...]:
-    """The actual decomposition, keyed on the pair *and* the resolved LCS
-    backend so backend switches never serve stale entries (all backends
-    agree bit-for-bit, but equivalence tests must exercise each one).
+def _matching_blocks_cached(first: str, second: str) -> tuple[MatchingBlock, ...]:
+    """The actual decomposition, memoised on the string pair.
 
     The recursion is implemented with an explicit stack so pathological
     inputs cannot overflow Python's recursion limit.

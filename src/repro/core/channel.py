@@ -14,13 +14,12 @@ second-order errors -> long deletion -> substitution -> insertion ->
 deletion -> no error).  Ladders are cached per model and strand length,
 so the hot loop does one ``random()`` call and one short scan per base.
 
-Two execution backends share that draw-order contract bit for bit: the
-``python`` reference loop below, and the sparse-event NumPy sweep in
-:mod:`repro.core.channel_backend` (selected via
-``REPRO_CHANNEL_BACKEND`` / ``--channel-backend`` /
-:func:`repro.core.channel_backend.set_channel_backend`).  Both consume
-the same uniform variates in the same order from ``self.rng``, so seeds
-remain portable across backends.
+Two execution paths share that draw-order contract bit for bit: the
+reference loop below, and the sparse-event NumPy sweep in
+:mod:`repro.core.channel_backend`.  Each call picks one from its own
+shape (see :meth:`Channel._use_sweep`); both consume the same uniform
+variates in the same order from ``self.rng``, so the choice never
+changes a pool.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ from collections.abc import Sequence
 
 from repro.core.alphabet import BASES, homopolymer_mask
 from repro.core.channel_backend import (
-    AUTO_MIN_DRAWS,
     ReferencePrep,
     UniformBulkSource,
     VectorTables,
-    channel_backend,
     homopolymer_mask_fast,
     rng_supports_bulk,
     transmit_batch,
@@ -45,6 +42,13 @@ from repro.core.channel_backend import (
 from repro.core.coverage import CoverageModel
 from repro.core.errors import ErrorModel
 from repro.core.strand import Cluster, StrandPool
+
+#: A call worth fewer uniform draws than this runs the reference loop:
+#: transplanting MT19937 state into NumPy and back costs ~150 µs per
+#: open/close, and the reference loop clears ~5 draws/µs — the sweep
+#: only wins once the transplant amortises across a couple of thousand
+#: draws (a handful of paper-length transmissions).
+AUTO_MIN_DRAWS = 2048
 
 # Event tags used in the ladder; tuples keep second-order errors attached.
 _BURST = ("burst",)
@@ -111,7 +115,7 @@ class Channel:
             return transmit_vectorised(
                 self, reference, source, self._reference_prep(reference)
             )
-        if self._resolve_backend(len(reference)) == "vectorised":
+        if self._use_sweep(len(reference)):
             with self._bulk_source(len(reference) + 16) as bulk:
                 return transmit_vectorised(
                     self, reference, bulk, self._reference_prep(reference)
@@ -122,13 +126,18 @@ class Channel:
         """Generate ``coverage`` independent noisy copies of one strand."""
         if coverage < 0:
             raise ValueError(f"coverage must be non-negative, got {coverage}")
+        if coverage == 0:
+            # No copies, no draws: return before the sweep's per-reference
+            # prep, which (unlike the reference loop) would reject
+            # non-ACGT symbols of a strand it never transmits.
+            return []
         source = self._active_source
         if source is not None and source.rng is self.rng:
             return transmit_batch(
                 self, reference, coverage, source, self._reference_prep(reference)
             )
         draws_hint = len(reference) * coverage
-        if self._resolve_backend(draws_hint) == "vectorised":
+        if self._use_sweep(draws_hint):
             with self._bulk_source(draws_hint + 64) as bulk:
                 return transmit_batch(
                     self, reference, coverage, bulk, self._reference_prep(reference)
@@ -152,7 +161,7 @@ class Channel:
             len(reference) * coverage
             for reference, coverage in zip(references, coverages)
         )
-        if self._resolve_backend(draws_hint) == "vectorised":
+        if self._use_sweep(draws_hint):
             with self._bulk_source(draws_hint + 64):
                 return StrandPool(
                     [
@@ -168,25 +177,19 @@ class Channel:
         )
 
     # ---------------------------------------------------------------- #
-    # Backend dispatch
+    # Path dispatch
     # ---------------------------------------------------------------- #
 
-    def _resolve_backend(self, draws_hint: int) -> str:
-        """Pick the execution backend for a call expected to consume
-        roughly ``draws_hint`` uniform variates.
+    def _use_sweep(self, draws_hint: int) -> bool:
+        """Whether a call expected to consume roughly ``draws_hint``
+        uniform variates runs the vectorised sweep.
 
-        ``python`` and ``vectorised`` are honoured directly (the latter
-        silently degrades to the reference loop for RNGs whose state the
-        bulk source cannot mirror — output is bit-identical either way).
-        ``auto`` uses the sweep only when the transplant overhead
-        amortises (:data:`AUTO_MIN_DRAWS`).
+        Only when the bulk source can mirror ``self.rng`` bit-exactly and
+        the call is big enough for the state transplant to amortise
+        (:data:`AUTO_MIN_DRAWS`); otherwise the reference loop.  The
+        output is bit-identical either way.
         """
-        name = channel_backend()
-        if name == "python" or not rng_supports_bulk(self.rng):
-            return "python"
-        if name == "vectorised":
-            return "vectorised"
-        return "vectorised" if draws_hint >= AUTO_MIN_DRAWS else "python"
+        return rng_supports_bulk(self.rng) and draws_hint >= AUTO_MIN_DRAWS
 
     @contextlib.contextmanager
     def _bulk_source(self, hint: int | None = None):
@@ -300,8 +303,8 @@ class Channel:
         """Apply one channel event; returns the next reference position.
 
         ``rng`` may be any object with a ``random()`` method — the raw
-        channel RNG on the python backend, or the bulk source's scalar
-        shim on the vectorised backend (same variates, same order).
+        channel RNG on the reference loop, or the bulk source's scalar
+        shim inside the sweep (same variates, same order).
         """
         model = self.model
         if rng is None:

@@ -1,9 +1,8 @@
 """The declarative scenario DSL: sweep specs and their expansion.
 
 A :class:`SweepSpec` names a scenario *matrix*: the cross product of
-eight axes — channel preset × mean coverage × reconstructor ×
-fault severity × align backend × channel backend × shard layout ×
-worker layout — plus the spec-level scale knobs every cell shares
+six axes — channel preset × mean coverage × reconstructor ×
+fault severity × shard layout × worker layout — plus the spec-level scale knobs every cell shares
 (clusters, strand length, seed, profiling copies).  Expansion is a pure
 function: the same spec always yields the same
 :class:`ScenarioCell` tuple, in the same execution order, with the same
@@ -31,8 +30,6 @@ from dataclasses import dataclass, field
 from difflib import get_close_matches
 from pathlib import Path
 
-from repro.align.kernels import BACKENDS
-from repro.core.channel_backend import CHANNEL_BACKENDS
 from repro.data.nanopore import (
     PAPER_MEAN_COVERAGE,
     NanoporeParameters,
@@ -53,8 +50,6 @@ AXES = (
     "coverage",
     "algorithm",
     "severity",
-    "align_backend",
-    "channel_backend",
     "shards",
     "workers",
 )
@@ -66,8 +61,6 @@ AXIS_DEFAULTS: dict[str, tuple] = {
     "coverage": (PAPER_MEAN_COVERAGE,),
     "algorithm": ("majority",),
     "severity": ("none",),
-    "align_backend": ("auto",),
-    "channel_backend": ("auto",),
     "shards": (1,),
     "workers": (1,),
 }
@@ -146,7 +139,7 @@ class _Source:
 def _plain_error(
     message: str, table: str | None = None, key: str | None = None
 ) -> ConfigError:
-    where = f" in [{table}]" if table else ""
+    where = f" in [{table}]" if table and f"[{table}]" not in message else ""
     return ConfigError(f"{message}{where}")
 
 
@@ -173,8 +166,6 @@ class ScenarioCell:
     coverage: float
     algorithm: str
     severity: str
-    align_backend: str
-    channel_backend: str
     shards: int
     workers: int
     seed: int
@@ -218,12 +209,7 @@ class ScenarioCell:
         return nanopore_parameters(dict(self.channel_parameters))
 
     def job_spec(self, **overrides) -> JobSpec:
-        """The durable :class:`repro.jobs.JobSpec` that runs this cell.
-
-        Backends are pinned verbatim — including ``"auto"``, which is a
-        deterministic choice of the best available implementation, not
-        a deferred read of ``REPRO_*_BACKEND``.
-        """
+        """The durable :class:`repro.jobs.JobSpec` that runs this cell."""
         settings = {
             "job_id": self.cell_id,
             "n_clusters": self.n_clusters,
@@ -235,8 +221,6 @@ class ScenarioCell:
             "algorithms": (self.algorithm,),
             "max_copies": self.max_copies,
             "fault_severity": self.severity,
-            "align_backend": self.align_backend,
-            "channel_backend": self.channel_backend,
             "channel_parameters": dict(self.channel_parameters) or None,
         }
         settings.update(overrides)
@@ -618,27 +602,6 @@ def _axis_value(axis, value, channels: dict, src: _Source | None):
                 f"unknown severity {value!r}"
                 f"{_suggest(value, SEVERITY_LEVELS)} "
                 f"(choose from {sorted(SEVERITY_LEVELS)})",
-                "axes",
-                axis,
-            )
-        return value
-    if axis == "align_backend":
-        if value not in BACKENDS:
-            raise _error(
-                src,
-                f"unknown align backend {value!r}"
-                f"{_suggest(value, BACKENDS)} (choose from {list(BACKENDS)})",
-                "axes",
-                axis,
-            )
-        return value
-    if axis == "channel_backend":
-        if value not in CHANNEL_BACKENDS:
-            raise _error(
-                src,
-                f"unknown channel backend {value!r}"
-                f"{_suggest(value, CHANNEL_BACKENDS)} "
-                f"(choose from {list(CHANNEL_BACKENDS)})",
                 "axes",
                 axis,
             )

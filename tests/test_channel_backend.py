@@ -1,32 +1,35 @@
-"""Cross-backend equivalence for the vectorised channel sweep (ISSUE 8).
+"""Differential tests of the vectorised channel sweep.
 
-In the style of ``TestBatchedBackendEquivalence``: the ``vectorised``
-backend must be byte-identical to the ``python`` reference loop — same
-pools, same copies, and the same final ``random.Random`` state (the
-draw-order contract) — across every model stage (bursts, second-order
-errors, long deletions, spatial weights, homopolymer scaling), both RNG
-modes (serial stream and ``per_cluster_seeds``), and degenerate inputs
-(empty references, coverage 0, all-homopolymer strands, burst-heavy
-models).  Dispatch (env var / override / auto threshold) is covered at
-the end.
+The sweep must be byte-identical to the reference loop — same pools,
+same copies, and the same final ``random.Random`` state (the draw-order
+contract) — across every model stage (bursts, second-order errors, long
+deletions, spatial weights, homopolymer scaling), both RNG modes (serial
+stream and ``per_cluster_seeds``), and degenerate inputs (empty
+references, coverage 0, all-homopolymer strands, burst-heavy models,
+the shared edge lengths and non-ACGT symbols of
+:mod:`tests.differential`).  Each side is forced by patching
+``repro.core.channel.AUTO_MIN_DRAWS``: ``sys.maxsize`` keeps every call
+on the reference loop (``python``), 0 sends every bulk-capable call
+through the sweep (``vectorised``).  The size-based dispatch itself is
+covered at the end.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
+from hypothesis import strategies as st
 
+from repro.core import channel as channel_module
 from repro.core.alphabet import homopolymer_mask, random_strand
-from repro.core.channel import Channel
+from repro.core.channel import AUTO_MIN_DRAWS, Channel
 from repro.core.channel_backend import (
-    AUTO_MIN_DRAWS,
-    CHANNEL_BACKENDS,
     channel_backend,
     homopolymer_mask_fast,
     rng_supports_bulk,
-    set_channel_backend,
 )
 from repro.core.coverage import ConstantCoverage, NegativeBinomialCoverage
 from repro.core.errors import ErrorModel
@@ -38,15 +41,30 @@ from repro.data.nanopore import (
     iter_nanopore_clusters,
     make_nanopore_dataset,
 )
-from repro.exceptions import ConfigError
+from tests.differential import (
+    SYMBOLS,
+    assert_differential,
+    assert_same,
+    patched,
+    strands,
+)
 
 MAIN_SEED = 20260808
 
+#: ``AUTO_MIN_DRAWS`` per forced path.
+PATHS = {"python": sys.maxsize, "vectorised": 0}
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    set_channel_backend(None)
+
+def differential(run, *args) -> None:
+    """``run(*args)`` gives the same outcome on both paths."""
+    assert_same(*_both_paths(run), *args)
+
+
+def _both_paths(run):
+    return tuple(
+        patched(run, channel_module, "AUTO_MIN_DRAWS", PATHS[path])
+        for path in ("python", "vectorised")
+    )
 
 
 def _ground(**overrides) -> ErrorModel:
@@ -83,66 +101,82 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     def test_transmit_pool_identical(self, model_name):
-        model = MODELS[model_name]
-        coverage = NegativeBinomialCoverage(8.0, 2.0)
-        pools, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+        def run(model):
             rng = random.Random(MAIN_SEED)
-            channel = Channel(model, rng)
             references = _references(random.Random(MAIN_SEED + 1))
-            pools[backend] = _flatten(
-                channel.transmit_pool(references, coverage)
+            pool = Channel(model, rng).transmit_pool(
+                references, NegativeBinomialCoverage(8.0, 2.0)
             )
-            states[backend] = rng.getstate()
-        assert pools["vectorised"] == pools["python"], model_name
-        assert states["vectorised"] == states["python"], model_name
+            return _flatten(pool), rng.getstate()
+
+        differential(run, MODELS[model_name])
 
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     def test_transmit_many_identical(self, model_name):
-        model = MODELS[model_name]
-        outputs, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+        def run(model):
             rng = random.Random(MAIN_SEED + 2)
             channel = Channel(model, rng)
-            copies: list[list[str]] = []
-            for reference in _references(random.Random(MAIN_SEED + 3)):
-                copies.append(channel.transmit_many(reference, 25))
-            outputs[backend] = copies
-            states[backend] = rng.getstate()
-        assert outputs["vectorised"] == outputs["python"], model_name
-        assert states["vectorised"] == states["python"], model_name
+            copies = [
+                channel.transmit_many(reference, 25)
+                for reference in _references(random.Random(MAIN_SEED + 3))
+            ]
+            return copies, rng.getstate()
+
+        differential(run, MODELS[model_name])
+
+    def test_fuzzed_references_identical(self):
+        """Edge lengths, coverages 0/1/164, and non-ACGT symbols (which
+        must fail the same way on both paths)."""
+
+        def run(references, coverage, seed):
+            rng = random.Random(seed)
+            channel = Channel(ground_truth_model(), rng)
+            copies = [channel.transmit_many(ref, coverage) for ref in references]
+            return copies, rng.getstate()
+
+        assert_differential(
+            *_both_paths(run),
+            st.tuples(
+                st.lists(
+                    st.one_of(strands("ACGT"), strands(SYMBOLS)), max_size=3
+                ),
+                st.sampled_from((0, 1, 5, 164)),
+                st.integers(0, 2**32),
+            ),
+            max_examples=30,
+        )
 
     def test_degenerate_coverage_and_reference(self):
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
-            rng = random.Random(MAIN_SEED)
-            channel = Channel(ground_truth_model(), rng)
-            assert channel.transmit_many("ACGT" * 30, 0) == []
-            assert channel.transmit_many("", 7) == [""] * 7
-            assert channel.transmit("") == ""
-            # Degenerate calls consume no randomness on either backend.
-            assert rng.getstate() == random.Random(MAIN_SEED).getstate()
+        for path in PATHS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(channel_module, "AUTO_MIN_DRAWS", PATHS[path])
+                rng = random.Random(MAIN_SEED)
+                channel = Channel(ground_truth_model(), rng)
+                assert channel.transmit_many("ACGT" * 30, 0) == []
+                # Coverage 0 transmits nothing, so neither path may look
+                # at the symbols (the sweep's per-reference prep rejects N).
+                assert channel.transmit_many("N" * 200, 0) == []
+                assert channel.transmit_many("", 7) == [""] * 7
+                assert channel.transmit("") == ""
+                # Degenerate calls consume no randomness on either path.
+                assert rng.getstate() == random.Random(MAIN_SEED).getstate()
 
     def test_interleaved_transmits_share_the_stream(self):
         """Mixing transmit/transmit_many/raw rng draws stays in lockstep:
         the bulk source must leave the Python RNG exactly where the
         serial loop would have."""
-        results, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+
+        def run():
             rng = random.Random(MAIN_SEED + 4)
             channel = Channel(ground_truth_model(), rng)
             trace = []
-            for round_index in range(4):
+            for _ in range(4):
                 trace.append(channel.transmit_many("ACGT" * 30, 9))
                 trace.append(rng.random())  # raw draw between bulk calls
                 trace.append(channel.transmit(random_strand(110, rng)))
-            results[backend] = trace
-            states[backend] = rng.getstate()
-        assert results["vectorised"] == results["python"]
-        assert states["vectorised"] == states["python"]
+            return trace, rng.getstate()
+
+        differential(run)
 
 
 class TestSimulatorEquivalence:
@@ -158,44 +192,41 @@ class TestSimulatorEquivalence:
         references = [
             random_strand(110, random.Random(MAIN_SEED + 5)) for _ in range(12)
         ]
-        pools = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+
+        def run():
             simulator = Simulator.fitted(
                 profile, stage=stage, coverage=ConstantCoverage(6), seed=17
             )
-            pools[backend] = _flatten(simulator.simulate(references))
-        assert pools["vectorised"] == pools["python"], stage
+            return _flatten(simulator.simulate(references))
+
+        differential(run)
 
     def test_per_cluster_seeds_identical(self):
         references = [
             random_strand(110, random.Random(MAIN_SEED + 6)) for _ in range(10)
         ]
-        pools = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+
+        def run():
             simulator = Simulator(
                 ground_truth_model(),
                 coverage=ConstantCoverage(5),
                 seed=23,
                 per_cluster_seeds=True,
             )
-            pools[backend] = _flatten(
-                simulator.simulate(references, workers=1)
-            )
-        assert pools["vectorised"] == pools["python"]
+            return _flatten(simulator.simulate(references, workers=1))
+
+        differential(run)
 
     def test_streamed_nanopore_identical(self):
-        clusters = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
-            clusters[backend] = [
+        def run():
+            return [
                 (cluster.reference, list(cluster.copies))
                 for cluster in iter_nanopore_clusters(
                     n_clusters=20, seed=MAIN_SEED, shards=3, workers=1
                 )
             ]
-        assert clusters["vectorised"] == clusters["python"]
+
+        differential(run)
 
 
 class TestFastMask:
@@ -216,55 +247,29 @@ class TestFastMask:
 
 
 class TestDispatch:
-    """Selection order: override, then env var, then auto."""
+    """The sweep runs for calls of at least ``AUTO_MIN_DRAWS`` draws on a
+    plain ``random.Random``; everything else runs the reference loop."""
 
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHANNEL_BACKEND", raising=False)
+    def test_default_is_auto(self):
         assert channel_backend() == "auto"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "vectorised")
-        assert channel_backend() == "vectorised"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "python")
-        set_channel_backend("vectorised")
-        assert channel_backend() == "vectorised"
-        set_channel_backend(None)
-        assert channel_backend() == "python"
-
-    def test_unknown_override_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            set_channel_backend("cuda")
-
-    def test_unknown_env_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "simd")
-        with pytest.raises(ConfigError):
-            channel_backend()
-
-    def test_backend_names_are_stable(self):
-        assert CHANNEL_BACKENDS == ("auto", "python", "vectorised")
 
     def test_auto_threshold(self):
         channel = Channel(ground_truth_model(), random.Random(0))
-        set_channel_backend("auto")
-        assert channel._resolve_backend(AUTO_MIN_DRAWS) == "vectorised"
-        assert channel._resolve_backend(AUTO_MIN_DRAWS - 1) == "python"
-        set_channel_backend("python")
-        assert channel._resolve_backend(10**9) == "python"
+        assert channel._use_sweep(AUTO_MIN_DRAWS)
+        assert not channel._use_sweep(AUTO_MIN_DRAWS - 1)
 
-    def test_subclassed_rng_degrades_to_python(self):
+    def test_subclassed_rng_degrades_to_python(self, monkeypatch):
         class LoggedRandom(random.Random):
             pass
 
         assert not rng_supports_bulk(LoggedRandom(0))
+        monkeypatch.setattr(channel_module, "AUTO_MIN_DRAWS", 0)
         channel = Channel(ground_truth_model(), LoggedRandom(0))
-        set_channel_backend("vectorised")
-        # Forced vectorised still degrades (bit-identical either way).
-        assert channel._resolve_backend(10**9) == "python"
+        # A forced sweep still degrades (bit-identical either way).
+        assert not channel._use_sweep(10**9)
         reference = "ACGT" * 30
         copies = channel.transmit_many(reference, 20)
-        set_channel_backend("python")
+        monkeypatch.setattr(channel_module, "AUTO_MIN_DRAWS", sys.maxsize)
         assert copies == Channel(
             ground_truth_model(), LoggedRandom(0)
         ).transmit_many(reference, 20)

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from collections.abc import Callable, Sequence
 
 import pytest
 
 from repro.analysis.error_stats import ErrorStatistics
+from repro.core import channel as channel_module
 from repro.core.alphabet import TRANSITION, random_strand
 from repro.core.channel import Channel
-from repro.core.channel_backend import set_channel_backend
 from repro.core.coverage import (
     ConstantCoverage,
     ErasureCoverage,
@@ -48,6 +49,7 @@ from repro.data.nanopore import (
     ground_truth_model,
 )
 from repro.core.errors import PAPER_LONG_DELETION_LENGTHS
+from tests.differential import patched
 
 #: Every draw in this module descends from this seed — the suite is
 #: fully deterministic, in CI and everywhere else.
@@ -145,14 +147,13 @@ def measure_channel(
 def measured(request) -> ErrorStatistics:
     """Statistics of the calibrated channel (900 transmissions, ~99k
     base opportunities — every aggregate below has expected counts well
-    into chi-square territory), measured under each channel backend:
-    the vectorised sweep must pass the paper's statistical suite with
-    the same seeds (it is bit-identical, so the statistics are too)."""
-    set_channel_backend(request.param)
-    try:
-        return measure_channel()
-    finally:
-        set_channel_backend(None)
+    into chi-square territory), measured on each channel path: the
+    reference loop (``AUTO_MIN_DRAWS`` out of reach) and the vectorised
+    sweep (``AUTO_MIN_DRAWS`` 0) must each pass the paper's statistical
+    suite with the same seeds (they are bit-identical, so the statistics
+    are too)."""
+    threshold = {"python": sys.maxsize, "vectorised": 0}[request.param]
+    return patched(measure_channel, channel_module, "AUTO_MIN_DRAWS", threshold)()
 
 
 @pytest.fixture(scope="module")

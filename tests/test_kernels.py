@@ -1,47 +1,53 @@
-"""Equivalence and dispatch tests for the alignment kernel layer.
+"""Differential and dispatch tests for the alignment kernel layer.
 
-The contract under test: **every** backend of :mod:`repro.align.kernels`
+The contract under test: **every** path of :mod:`repro.align.kernels`
 returns bit-identical results to the pure-Python reference DPs — exact
-distances, banded lower bounds, gestalt matching blocks, and clustering
-assignments — over a seeded randomized corpus that covers empty strings,
-equal strings, band 0, IDS-noised length-110 pairs, and 64-bit
-word-boundary lengths.
+distances, banded lower bounds, gestalt matching blocks, q-gram
+signatures, and clustering assignments.  Inputs come from the shared
+degenerate-input strategies of :mod:`tests.differential` (empty strings,
+lengths 1/109/110/111/1000, non-ACGT symbols) plus seeded IDS-noised
+paper-shaped pairs.  Each side of a size-based choice is forced by
+patching its module constant: ``_BATCH_MIN_READS`` (1 forces the batched
+sweep, ``sys.maxsize`` the pairwise kernel) and ``_LCS_NUMPY_MIN_CELLS``
+(0 forces the NumPy rows, ``sys.maxsize`` the Python recursion).
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import find
+from hypothesis import strategies as st
 
-from repro.align import kernels
+from repro.align import gestalt, kernels
 from repro.align.edit_distance import edit_distance, edit_distance_banded
 from repro.align.gestalt import clear_block_cache, matching_blocks
-from repro.align.kernels import (
-    CompiledPattern,
-    edit_distances_one_to_many,
-    set_align_backend,
-)
+from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
 from repro.align.operations import OpKind, apply_operations, edit_operations
-from repro.cli import main
 from repro.cluster.greedy import GreedyClusterer
-from repro.cluster.qgram_index import QGramIndex
-from repro.exceptions import ConfigError
+from repro.cluster.qgram_index import (
+    EMPTY_SIGNATURE,
+    QGramIndex,
+    _stable_hash,
+    qgrams,
+)
+from tests.differential import (
+    EDGE_LENGTHS,
+    SYMBOLS,
+    assert_differential,
+    assert_same,
+    pairs,
+    patched,
+    strands,
+)
 
-#: The concrete backends (auto is an alias resolving to bitparallel for
-#: pairwise calls and batched for large one-vs-many batches).  Pairwise
-#: calls under ``batched`` fall through to the scalar bit-parallel
-#: kernel, so including it here exercises that fall-through too.
-CONCRETE_BACKENDS = ("python", "numpy", "bitparallel", "batched")
+BANDS = (0, 1, 3, 25, 1000)
 
-BANDS = (0, 1, 3, 25)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process on the default (auto) backend."""
-    yield
-    set_align_backend(None)
+#: ``_BATCH_MIN_READS`` per forced one-vs-many path.
+BATCH_PATHS = {"bitparallel": sys.maxsize, "batched": 1}
 
 
 def _strand(rng: random.Random, length: int) -> str:
@@ -64,123 +70,159 @@ def _ids_noised(rng: random.Random, reference: str, rate: float = 0.06) -> str:
     return "".join(out)
 
 
-def _pair_corpus() -> list[tuple[str, str]]:
-    """~500 seeded pairs spanning the tricky regions of the input space."""
-    rng = random.Random(20260805)
-    pairs: list[tuple[str, str]] = [
-        ("", ""),
-        ("", "ACGT"),
-        ("ACGT", ""),
-        ("A", "A"),
-        ("A", "C"),
-        ("AC", "CA"),
-    ]
-    # Equal strings at assorted lengths (distance 0, band 0 exercised).
-    for length in (1, 7, 63, 64, 65, 110, 200):
-        strand = _strand(rng, length)
-        pairs.append((strand, strand))
-    # 64-bit word-boundary lengths: the bit-parallel kernel must be
-    # seamless across the one-word/multi-word transition.
-    for length in (63, 64, 65, 127, 128, 129):
-        for _ in range(8):
-            other = rng.randint(max(0, length - 6), length + 6)
-            pairs.append((_strand(rng, length), _strand(rng, other)))
-    # Assorted short random pairs (including many length-0/1 edge cases).
-    for _ in range(300):
-        pairs.append(
-            (
-                _strand(rng, rng.randint(0, 40)),
-                _strand(rng, rng.randint(0, 40)),
-            )
-        )
-    # The paper's shape: length-110 references with IDS noise.
-    for _ in range(120):
-        reference = _strand(rng, 110)
-        pairs.append((reference, _ids_noised(rng, reference)))
-    # A few long pairs (multi-word patterns, large matrices).
-    for _ in range(3):
-        reference = _strand(rng, 1000)
-        pairs.append((reference, _ids_noised(rng, reference)))
-    return pairs
+def _on_batch_path(path: str, fn):
+    return patched(fn, kernels, "_BATCH_MIN_READS", BATCH_PATHS[path])
 
 
-PAIRS = _pair_corpus()
+def _banded_contract(first: str, second: str, band: int) -> int:
+    """What every banded path must return: min(true distance, band + 1)."""
+    return min(kernels._python_distance(first, second), band + 1)
 
 
-@pytest.fixture(scope="module")
-def reference_distances() -> list[int]:
-    """Ground-truth distances from the seed's pure-Python DP."""
-    return [kernels._python_distance(first, second) for first, second in PAIRS]
+def _python_banded(first: str, second: str, band: int) -> int:
+    """The reference banded DP behind the callers' length short-circuit."""
+    if abs(len(first) - len(second)) > band:
+        return band + 1
+    return kernels._python_banded(first, second, band)
+
+
+banded_inputs = st.tuples(pairs(), st.sampled_from(BANDS)).map(
+    lambda drawn: (*drawn[0], drawn[1])
+)
+
+
+@st.composite
+def one_to_many_inputs(draw) -> tuple[str, list[str], int | None]:
+    """A reference, a batch of reads around it, and an optional band."""
+    batch = draw(st.lists(pairs(), max_size=6))
+    reference = draw(strands())
+    reads = [second for _, second in batch] + ["", reference]
+    band = draw(st.one_of(st.none(), st.sampled_from(BANDS)))
+    return reference, reads, band
+
+
+def _reference_one_to_many(reference, reads, band):
+    distances = [kernels._python_distance(reference, read) for read in reads]
+    if band is None:
+        return distances
+    return [min(distance, band + 1) for distance in distances]
 
 
 class TestDistanceEquivalence:
     def test_corpus_is_large_and_varied(self):
-        assert len(PAIRS) >= 450
-        assert any(not first for first, _ in PAIRS)
-        assert any(first == second and first for first, second in PAIRS)
-        assert any(len(first) > 64 for first, _ in PAIRS)
+        """The shared strategies reach every degenerate shape the
+        differential tests rely on."""
+        for length in EDGE_LENGTHS:
+            find(strands(), lambda strand, length=length: len(strand) == length)
+        for symbol in SYMBOLS:
+            find(strands(), lambda strand, symbol=symbol: symbol in strand)
+        find(pairs(), lambda pair: pair[0] == pair[1] != "")
+        find(pairs(), lambda pair: len(pair[0]) > 64 and pair[0] != pair[1])
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS + ("auto",))
-    def test_edit_distance_matches_reference(self, backend, reference_distances):
-        set_align_backend(backend)
-        for (first, second), expected in zip(PAIRS, reference_distances):
-            assert edit_distance(first, second) == expected, (first, second)
+    @pytest.mark.parametrize("path", ["auto", "bitparallel", "batched"])
+    def test_edit_distance_matches_reference(self, path):
+        """``auto`` is the public entry point; the other two force one
+        kernel each."""
+        fast = {
+            "auto": edit_distance,
+            "bitparallel": kernels._bitparallel_distance,
+            "batched": _on_batch_path(
+                "batched", lambda a, b: edit_distances_one_to_many(a, [b])[0]
+            ),
+        }[path]
+        assert_differential(kernels._python_distance, fast, pairs())
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_banded_matches_reference_bound(self, backend, reference_distances):
+    @pytest.mark.parametrize("path", ["python", "bitparallel", "batched"])
+    def test_banded_matches_reference_bound(self, path):
         """Banded result is exactly min(true distance, band + 1): the true
         distance when within the band, the lower bound band + 1 the moment
-        the band is provably exceeded."""
-        set_align_backend(backend)
-        for (first, second), exact in zip(PAIRS, reference_distances):
-            for band in BANDS:
-                assert edit_distance_banded(first, second, band) == min(
-                    exact, band + 1
-                ), (first, second, band)
+        the band is provably exceeded.  ``python`` checks the reference
+        banded DP itself against that contract."""
+        fast = {
+            "python": _python_banded,
+            "bitparallel": edit_distance_banded,
+            "batched": _on_batch_path(
+                "batched",
+                lambda a, b, band: edit_distances_one_to_many(a, [b], band)[0],
+            ),
+        }[path]
+        assert_differential(_banded_contract, fast, banded_inputs)
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_one_to_many_matches_pairwise(self, backend):
-        rng = random.Random(7)
-        reference = _strand(rng, 110)
-        reads = [_ids_noised(rng, reference) for _ in range(15)]
-        reads += ["", reference, _strand(rng, 40)]
-        set_align_backend(backend)
-        assert edit_distances_one_to_many(reference, reads) == [
-            edit_distance(reference, read) for read in reads
-        ]
-        assert edit_distances_one_to_many(reference, reads, band=10) == [
-            edit_distance_banded(reference, read, 10) for read in reads
-        ]
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    def test_one_to_many_matches_pairwise(self, path):
+        assert_differential(
+            _reference_one_to_many,
+            _on_batch_path(path, edit_distances_one_to_many),
+            one_to_many_inputs(),
+            max_examples=40,
+        )
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_compiled_pattern_matches_functions(self, backend):
-        set_align_backend(backend)
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    def test_compiled_pattern_matches_functions(self, path):
+        """One compiled pattern against many texts: pairwise methods on
+        ``bitparallel``, one-read batches on ``batched``."""
         rng = random.Random(11)
         pattern = CompiledPattern(_strand(rng, 80))
-        for _ in range(25):
-            other = _strand(rng, rng.randint(0, 120))
-            assert pattern.distance(other) == edit_distance(pattern.text, other)
-            for band in (0, 5, 25):
-                assert pattern.banded_distance(other, band) == (
-                    edit_distance_banded(pattern.text, other, band)
-                )
+
+        def compiled(other, band):
+            if path == "bitparallel":
+                return pattern.distance(other), pattern.banded_distance(other, band)
+            return (
+                pattern.distances([other])[0],
+                pattern.banded_distances([other], band)[0],
+            )
+
+        def reference(other, band):
+            return (
+                kernels._python_distance(pattern.text, other),
+                _banded_contract(pattern.text, other, band),
+            )
+
+        assert_differential(
+            reference,
+            _on_batch_path(path, compiled),
+            st.tuples(strands(), st.sampled_from(BANDS)),
+        )
 
 
 class TestGestaltEquivalence:
-    @pytest.mark.parametrize("backend", ("numpy", "bitparallel", "auto"))
-    def test_matching_blocks_match_python_reference(self, backend):
-        set_align_backend("python")
-        expected = [matching_blocks(first, second) for first, second in PAIRS[:200]]
-        set_align_backend(backend)
-        for (first, second), blocks in zip(PAIRS[:200], expected):
-            assert matching_blocks(first, second) == blocks, (first, second)
+    @staticmethod
+    def _blocks(first, second):
+        """An uncached decomposition (the LRU would hide a path switch)."""
+        return list(gestalt._matching_blocks_cached.__wrapped__(first, second))
+
+    @pytest.mark.parametrize("path", ["auto", "numpy"])
+    def test_matching_blocks_match_python_reference(self, path):
+        """``auto`` splits regions by size; ``numpy`` forces the NumPy rows
+        onto every region.  The reference runs the Python recursion on
+        every region."""
+        reference = patched(
+            self._blocks, kernels, "_LCS_NUMPY_MIN_CELLS", sys.maxsize
+        )
+        fast = self._blocks
+        if path == "numpy":
+            fast = patched(self._blocks, kernels, "_LCS_NUMPY_MIN_CELLS", 0)
+        assert_differential(reference, fast, pairs(), max_examples=40)
 
     def test_long_pair_blocks_match(self):
-        first, second = PAIRS[-1]
-        set_align_backend("python")
-        expected = matching_blocks(first, second)
-        set_align_backend("numpy")
-        assert matching_blocks(first, second) == expected
+        rng = random.Random(3)
+        first = _strand(rng, 1000)
+        second = _ids_noised(rng, first)
+        clear_block_cache()
+        assert_same(
+            patched(self._blocks, kernels, "_LCS_NUMPY_MIN_CELLS", sys.maxsize),
+            matching_blocks,
+            first,
+            second,
+        )
+
+
+def _reference_signature(sequence: str, q: int = 8, bands: int = 8) -> list[int]:
+    """The scalar min-hash: FNV-1a over every q-gram, one min per band."""
+    if not sequence:
+        return [EMPTY_SIGNATURE] * bands
+    grams = qgrams(sequence, q)
+    return [min(_stable_hash(gram, band) for gram in grams) for band in range(bands)]
 
 
 class TestClusteringIdentity:
@@ -197,59 +239,46 @@ class TestClusteringIdentity:
         return reads
 
     def test_assignments_identical_across_backends(self, reads):
+        """The greedy clusterer with the batched sweep forced on, forced
+        off, and left to its size-based choice."""
         results = {}
-        for backend in CONCRETE_BACKENDS:
-            set_align_backend(backend)
-            results[backend] = GreedyClusterer().cluster(reads)
-        baseline = results["python"]
-        for backend, result in results.items():
-            assert result.assignments == baseline.assignments, backend
-            assert result.representatives == baseline.representatives, backend
-            assert result.comparisons == baseline.comparisons, backend
+        for path, threshold in {
+            **BATCH_PATHS,
+            "auto": kernels._BATCH_MIN_READS,
+        }.items():
+            with mock.patch.object(kernels, "_BATCH_MIN_READS", threshold):
+                results[path] = GreedyClusterer().cluster(reads)
+        baseline = results["bitparallel"]
+        for path, result in results.items():
+            assert result.assignments == baseline.assignments, path
+            assert result.representatives == baseline.representatives, path
+            assert result.comparisons == baseline.comparisons, path
 
     def test_qgram_signatures_identical_across_backends(self):
-        rng = random.Random(13)
         index = QGramIndex(q=8, bands=8)
-        for sequence in ["", "ACG", _strand(rng, 7), _strand(rng, 8), _strand(rng, 110)]:
-            set_align_backend("python")
-            expected = index.signature(sequence)
-            for backend in ("numpy", "bitparallel", "batched", "auto"):
-                set_align_backend(backend)
-                assert index.signature(sequence) == expected, (sequence, backend)
+        assert_differential(
+            _reference_signature,
+            index.signature,
+            st.tuples(st.one_of(strands(), st.sampled_from(["", "ACG", "A" * 8]))),
+        )
 
     def test_pool_signatures_match_per_read(self):
         """The pool-wide batched FNV-1a sweep is bit-identical to the
-        per-read signature path, across backends and edge lengths."""
-        rng = random.Random(29)
-        pool = [
-            "",
-            "A",
-            "ACGTN",
-            _strand(rng, 7),
-            _strand(rng, 8),
-            _strand(rng, 9),
-            "acgtacgtac",
-            "Aé世\U0001F600BACGT",
-            _strand(rng, 110),
-            _strand(rng, 111),
-            _strand(rng, 500),
-        ] + [_strand(rng, rng.randint(0, 120)) for _ in range(60)]
+        scalar min-hash of each read, at edge lengths and symbols."""
         index = QGramIndex(q=8, bands=8)
-        set_align_backend("python")
-        expected = [index.signature(sequence) for sequence in pool]
-        for backend in ("python", "numpy", "bitparallel", "batched", "auto"):
-            set_align_backend(backend)
-            assert index.signatures(pool) == expected, backend
+        assert_differential(
+            lambda pool: [_reference_signature(sequence) for sequence in pool],
+            index.signatures,
+            st.tuples(st.lists(strands(), max_size=12)),
+            max_examples=40,
+        )
 
 
 class TestBatchedBackendEquivalence:
-    """Fuzz the batched uint64 sweep against the reference DP (ISSUE 7).
-
-    Lengths straddle the word boundary and the paper's strand length;
-    alphabets include N, lowercase, and astral-plane unicode; bands
-    include the degenerate 0 and band >= max(len) cases.  Everything is
-    checked bit-identical to the pure-Python DP.
-    """
+    """The batched uint64 sweep against the reference DP, on seeded
+    batches whose lengths straddle the word boundary and the paper's
+    strand length, over N, lowercase, and astral-plane alphabets, with
+    the degenerate bands 0 and >= max(len)."""
 
     LENGTHS = (0, 1, 109, 110, 111, 500)
     ALPHABETS = ("ACGT", "ACGTN", "acgt", "Aé世\U0001F600T")
@@ -280,9 +309,9 @@ class TestBatchedBackendEquivalence:
         ]
         return reads
 
+    @mock.patch.object(kernels, "_BATCH_MIN_READS", 1)
     def test_batched_matches_reference_dp(self):
         rng = random.Random(20260808)
-        set_align_backend("batched")
         for length in self.LENGTHS:
             for alphabet in self.ALPHABETS:
                 reference = "".join(
@@ -294,53 +323,42 @@ class TestBatchedBackendEquivalence:
                 ]
                 pattern = CompiledPattern(reference)
                 assert pattern.distances(reads) == expected, (length, alphabet)
-                for band in (0, 1, 3, 25, 1000):
+                for band in BANDS:
                     assert pattern.banded_distances(reads, band) == [
                         min(distance, band + 1) for distance in expected
                     ], (length, alphabet, band)
 
+    @mock.patch.object(kernels, "_BATCH_MIN_READS", 1)
     def test_one_to_many_empty_batch(self):
-        set_align_backend("batched")
         assert edit_distances_one_to_many("ACGT", []) == []
         assert edit_distances_one_to_many("ACGT", [], band=3) == []
 
-    def test_auto_threshold_dispatch(self):
-        """``auto`` sweeps batches of >= _BATCH_MIN_READS reads; the
-        explicit ``batched`` backend sweeps any non-empty batch."""
-        assert kernels._batch_selected("batched", 1)
-        assert kernels._batch_selected("auto", kernels._BATCH_MIN_READS)
-        assert not kernels._batch_selected("auto", kernels._BATCH_MIN_READS - 1)
-        assert not kernels._batch_selected("bitparallel", 10_000)
+    def test_auto_threshold_dispatch(self, monkeypatch):
+        """Batches of at least ``_BATCH_MIN_READS`` reads run the sweep;
+        one read fewer loops the pairwise kernel."""
+        swept = []
+        real = kernels._batched_distances
+
+        def spy(packed, reads, band):
+            swept.append(len(reads))
+            return real(packed, reads, band)
+
+        monkeypatch.setattr(kernels, "_batched_distances", spy)
+        reads = ["ACGA"] * kernels._BATCH_MIN_READS
+        pattern = CompiledPattern("ACGT")
+        assert pattern.distances(reads) == [1] * len(reads)
+        assert pattern.banded_distances(reads[1:], 2) == [1] * (len(reads) - 1)
+        assert swept == [kernels._BATCH_MIN_READS]
 
     def test_auto_large_batch_matches_reference(self):
         rng = random.Random(31)
         reference = _strand(rng, 110)
         reads = [_ids_noised(rng, reference) for _ in range(kernels._BATCH_MIN_READS + 5)]
         expected = [kernels._python_distance(reference, read) for read in reads]
-        set_align_backend("auto")
         assert edit_distances_one_to_many(reference, reads) == expected
         assert edit_distances_one_to_many(reference, reads, band=25) == [
             min(distance, 26) for distance in expected
         ]
-
-    def test_greedy_identity_under_env_backend(self, monkeypatch):
-        rng = random.Random(37)
-        references = [_strand(rng, 110) for _ in range(12)]
-        reads = [
-            _ids_noised(rng, reference)
-            for reference in references
-            for _ in range(5)
-        ]
-        rng.shuffle(reads)
-        set_align_backend("python")
-        baseline = GreedyClusterer().cluster(reads)
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "batched")
-        set_align_backend(None)
-        assert kernels.align_backend() == "batched"
-        result = GreedyClusterer().cluster(reads)
-        assert result.assignments == baseline.assignments
-        assert result.representatives == baseline.representatives
-        assert result.comparisons == baseline.comparisons
 
 
 class TestFastExits:
@@ -394,17 +412,22 @@ class TestMeanReconstructionDistance:
         with pytest.raises(ValueError, match="1 references but 2"):
             mean_reconstruction_edit_distance(["A"], ["A", "C"])
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_identical_across_backends(self, backend):
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    def test_identical_across_backends(self, path):
         from repro.metrics import mean_reconstruction_edit_distance
 
         rng = random.Random(17)
         references = [_strand(rng, 110) for _ in range(10)]
         estimates = [_ids_noised(rng, reference) for reference in references]
-        set_align_backend("python")
-        expected = mean_reconstruction_edit_distance(references, estimates)
-        set_align_backend(backend)
-        assert mean_reconstruction_edit_distance(references, estimates) == expected
+        assert_same(
+            lambda refs, ests: sum(
+                kernels._python_distance(r, e) for r, e in zip(refs, ests)
+            )
+            / len(refs),
+            _on_batch_path(path, mean_reconstruction_edit_distance),
+            references,
+            estimates,
+        )
 
 
 class TestBlockMemoisation:
@@ -426,22 +449,6 @@ class TestBlockMemoisation:
         assert second == first
         assert second is not first  # fresh list, safe to mutate
 
-    def test_backend_switch_does_not_serve_stale_entries(self, monkeypatch):
-        clear_block_cache()
-        set_align_backend("python")
-        matching_blocks("WIKIMEDIA", "WIKIMANIA")
-        calls = {"n": 0}
-        real = kernels.longest_common_substring
-
-        def counting(*args):
-            calls["n"] += 1
-            return real(*args)
-
-        monkeypatch.setattr(kernels, "longest_common_substring", counting)
-        set_align_backend("numpy")
-        matching_blocks("WIKIMEDIA", "WIKIMANIA")
-        assert calls["n"] > 0  # recomputed under the new backend key
-
     def test_clear_block_cache_forces_recompute(self, monkeypatch):
         matching_blocks("ACGTACGT", "ACGGACGT")
         clear_block_cache()
@@ -458,40 +465,6 @@ class TestBlockMemoisation:
 
 
 class TestBackendConfiguration:
-    def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown align backend"):
-            set_align_backend("fortran")
-
-    def test_invalid_env_var_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "not-a-backend")
-        set_align_backend(None)
-        with pytest.raises(ConfigError, match="not-a-backend"):
-            edit_distance("ACGT", "ACGA")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "python")
-        set_align_backend(None)
-        assert kernels.align_backend() == "python"
-
-    def test_override_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "python")
-        set_align_backend("numpy")
-        assert kernels.align_backend() == "numpy"
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(kernels.ALIGN_BACKEND_ENV, raising=False)
-        set_align_backend(None)
+    def test_default_is_auto(self):
+        """The only backend name left; benchmark fingerprints stamp it."""
         assert kernels.align_backend() == "auto"
-        assert kernels.lcs_backend() == "numpy"
-
-    def test_cli_rejects_unknown_backend_with_one_line_error(self, capsys):
-        code = main(["--align-backend", "bogus", "experiment", "table_1_1"])
-        assert code == 2
-        error_output = capsys.readouterr().err.strip().splitlines()
-        assert len(error_output) == 1
-        assert error_output[0].startswith("dnasim: error: [config]")
-        assert "bogus" in error_output[0]
-
-    def test_cli_accepts_valid_backend(self, capsys):
-        assert main(["--align-backend", "bitparallel", "experiment", "table_1_1"]) == 0
-        assert "Nanopore" in capsys.readouterr().out

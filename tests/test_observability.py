@@ -302,12 +302,12 @@ def test_malformed_workers_env_warns_once(monkeypatch):
 
 def _observed_task(item: int) -> int:
     """Module-level pool task: emits one span, one counter, and one
-    backend-labelled kernel call per item."""
+    kernel-labelled kernel call per item."""
     from repro.align.edit_distance import edit_distance
 
     with observability.span("task", item=item):
         observability.counter("task.items").inc()
-        edit_distance("ACGTACGT", "ACGAACGT")  # -> kernel.calls{backend=...}
+        edit_distance("ACGTACGT", "ACGAACGT")  # -> kernel.calls{kernel=edit}
     return item * 2
 
 
@@ -325,7 +325,7 @@ def test_parallel_map_merges_worker_metrics_and_spans(monkeypatch):
         if c["name"] == "kernel.calls"
     ]
     assert sum(c["value"] for c in kernel_calls) == len(items)
-    assert all(c["labels"]["kernel"] == "edit" for c in kernel_calls)
+    assert [c["labels"] for c in kernel_calls] == [{"kernel": "edit"}]
     records = observability.tracer().records
     worker_records = [r for r in records if r.get("worker")]
     assert len(worker_records) == len(items)

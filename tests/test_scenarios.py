@@ -12,10 +12,9 @@ Three layers, matching the package:
   ``assert_stamped``; a perturbed spec is a loud mismatch against an
   existing sweep directory; a tampered cell record is detected and
   re-derived, never silently reused.
-* **Backend pinning** — cells carry their backends in the durable spec,
-  so a poisoned ``REPRO_*_BACKEND`` environment cannot change what a
-  pinned cell computes, and all align backends produce bit-identical
-  sweep results.
+* **Retired axes** — the kernel-backend axes are gone: a spec or a
+  sweep directory that still names one fails loudly instead of being
+  read as a different matrix.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ class TestExpansion:
         cell = spec.expand()[0]
         assert cell.channel == AXIS_DEFAULTS["channel"][0]
         assert cell.severity == "none"
-        assert cell.align_backend == "auto"
         assert cell.shards == 1
 
     def test_expansion_is_deterministic(self):
@@ -223,8 +221,6 @@ class TestJobSpecMapping:
         assert job.shards == 2
         assert job.algorithms == (cell.algorithm,)
         assert job.fault_severity == "mild"
-        assert job.align_backend == "auto"
-        assert job.channel_backend == "auto"
         assert job.channel_parameters == dict(cell.channel_parameters)
 
     def test_paper_channel_pins_no_parameter_overrides(self):
@@ -253,8 +249,8 @@ class TestValidation:
         [
             ({"algorithm": ("mojority",)}, r"unknown algorithm 'mojority'; did you mean 'majority'\?"),
             ({"severity": ("mild-ish",)}, r"unknown severity 'mild-ish'; did you mean 'mild'\?"),
-            ({"align_backend": ("numppy",)}, r"unknown align backend 'numppy'; did you mean 'numpy'\?"),
-            ({"channel_backend": ("vector",)}, r"unknown channel backend 'vector'; did you mean 'vectorised'\?"),
+            ({"align_backend": ("auto",)}, r"unknown key 'align_backend' in \[axes\]"),
+            ({"channel_backend": ("auto",)}, r"unknown key 'channel_backend' in \[axes\]"),
             ({"channel": ("papre",)}, r"unknown channel 'papre'; did you mean 'paper'\?"),
             ({"coverage": (0,)}, r"coverage values must be > 0"),
             ({"coverage": (True,)}, r"coverage values must be numbers"),
@@ -473,60 +469,31 @@ class TestStore:
 
 
 # ----------------------------------------------------------------- #
-# Backend pinning
+# Retired axes
 # ----------------------------------------------------------------- #
 
 
-class TestBackendPinning:
-    def test_pinned_backends_ignore_poisoned_environment(
-        self, tmp_path, monkeypatch
-    ):
-        """A sweep-launched run never reads the ambient ``REPRO_*_BACKEND``
-        variables — backends travel in each cell's durable job spec."""
-        monkeypatch.setenv("REPRO_ALIGN_BACKEND", "bogus-backend")
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "also-bogus")
-        spec = tiny_spec(
-            axes={
-                "coverage": (4.0,),
-                "algorithm": ("bma",),
-                "align_backend": ("python",),
-                "channel_backend": ("python",),
-            }
-        )
-        outcome = run_sweep(spec, tmp_path / "sweep")
-        assert outcome.exit_code == 0
-        assert outcome.succeeded == 1
+class TestRetiredAxes:
+    @pytest.mark.parametrize("axis", ["align_backend", "channel_backend"])
+    def test_toml_naming_a_retired_axis_is_positioned_config_error(self, axis):
+        text = WIDE_TOML.replace("shards = [1, 2]", f'{axis} = ["auto"]')
+        line = 1 + text.splitlines().index(f'{axis} = ["auto"]')
+        with pytest.raises(
+            ConfigError, match=rf"sweep\.toml:{line}: unknown key '{axis}' in \[axes\]"
+        ):
+            parse_sweep_spec(text, source="sweep.toml")
 
-    def test_align_backends_are_bit_identical(self, tmp_path):
-        results = {}
-        for backend in ("python", "numpy"):
-            spec = tiny_spec(
-                name=f"pin-{backend}",
-                axes={
-                    "coverage": (4.0,),
-                    "algorithm": ("bma",),
-                    "align_backend": (backend,),
-                },
-            )
-            outcome = run_sweep(spec, tmp_path / backend)
-            assert outcome.exit_code == 0
-            payload = dict(outcome.cells[0].record["result"])
-            results[backend] = json.loads(json.dumps(payload, sort_keys=True))
-        assert results["python"] == results["numpy"]
-
-    def test_channel_backends_are_bit_identical(self, tmp_path):
-        results = {}
-        for backend in ("python", "vectorised"):
-            spec = tiny_spec(
-                name=f"chan-{backend}",
-                axes={
-                    "coverage": (4.0,),
-                    "algorithm": ("majority",),
-                    "channel_backend": (backend,),
-                },
-            )
-            outcome = run_sweep(spec, tmp_path / backend)
-            assert outcome.exit_code == 0
-            payload = dict(outcome.cells[0].record["result"])
-            results[backend] = json.loads(json.dumps(payload, sort_keys=True))
-        assert results["python"] == results["vectorised"]
+    def test_sweep_directory_with_retired_axes_does_not_resume(self, tmp_path):
+        """A manifest written while the backend axes existed names them
+        in its embedded spec; resuming it is a loud config error."""
+        run_sweep(tiny_spec(), tmp_path / "sweep")
+        manifest_path = tmp_path / "sweep" / "sweep.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["axes"]["align_backend"] = ["auto"]
+        manifest["spec"]["axes"]["channel_backend"] = ["auto"]
+        manifest_path.write_text(json.dumps(manifest))
+        retired = r"^unknown key 'align_backend' in \[axes\]$"
+        with pytest.raises(ConfigError, match=retired):
+            resume_sweep(tmp_path / "sweep")
+        with pytest.raises(ConfigError, match=retired):
+            run_sweep(tiny_spec(), tmp_path / "sweep")
